@@ -19,13 +19,10 @@
 //! across every row here — see the proptests in
 //! `crates/core/tests/properties.rs`.
 //!
-//! ISSUE 6 adds the packed-code rows: `sweep-pass/…` now runs the default
-//! packed-`u64` accumulators; `sweep-pass-rulekey` is the same single
-//! sweep with the pre-packing `Rule`-keyed maps (the hash-probe
-//! bottleneck being replaced) and `sweep-pass-hashprobe` forces the
-//! flat probe-or-insert combine (the default `sweep-pass` row lets the
-//! cost model pick, which at this volume means radix-group), so the
-//! packed-vs-rulekey and hash-vs-radix deltas are both one compare away.
+//! The packed-code rows: `sweep-pass/…` runs the default packed-`u64`
+//! accumulators and `sweep-pass-rulekey` is the same single sweep with
+//! the pre-packing `Rule`-keyed maps, so the packed-vs-rulekey delta is
+//! one compare away.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sirum_bench::core::candidates::SampleIndex;
@@ -34,7 +31,6 @@ use sirum_bench::core::sweep::{sweep_gains, sweep_gains_blocks, SweepOptions};
 use sirum_bench::core::{
     CandidateStrategy, Miner, PreparedTable, RuleLayout, SirumConfig, TupleBlock,
 };
-use sirum_bench::dataflow::cost::CombineStrategy;
 use sirum_bench::dataflow::{Dataset, Engine, EngineConfig};
 use sirum_bench::workloads;
 
@@ -170,30 +166,23 @@ fn bench(c: &mut Criterion) {
             |b, _| b.iter(|| sweep_gains_blocks(&data, d, Some(&index), None, &packed)),
         );
     }
-    // The pre-ISSUE-6 Rule-keyed sweep and the forced hash-probe combine,
-    // single worker. At this workload's emission volume the cost model
-    // picks radix-group, so the default `sweep-pass` row measures it and
-    // the packed-vs-rulekey and hash-vs-radix deltas are one compare away.
-    for (id, opts) in [
-        ("sweep-pass-rulekey", SweepOptions::rule_keyed()),
-        (
-            "sweep-pass-hashprobe",
-            packed.clone().with_combine(CombineStrategy::HashProbe),
-        ),
-    ] {
-        let e = engine(1);
-        let data = column_blocks(&e, &prepared);
-        let sample: Vec<Box<[u32]>> = e
-            .parallelize(tuples.clone(), PARTITIONS)
-            .take_sample(SAMPLE, 42)
-            .into_iter()
-            .map(|(dims, _, _, _)| dims)
-            .collect();
-        let index = SampleIndex::build(sample, d);
-        group.bench_with_input(BenchmarkId::new(id, "1threads"), &1usize, |b, _| {
-            b.iter(|| sweep_gains_blocks(&data, d, Some(&index), None, &opts))
-        });
-    }
+    // The Rule-keyed sweep, single worker: the packed-vs-rulekey delta is
+    // one compare away from the default `sweep-pass` row.
+    let rulekey = SweepOptions::rule_keyed();
+    let e = engine(1);
+    let data = column_blocks(&e, &prepared);
+    let sample: Vec<Box<[u32]>> = e
+        .parallelize(tuples.clone(), PARTITIONS)
+        .take_sample(SAMPLE, 42)
+        .into_iter()
+        .map(|(dims, _, _, _)| dims)
+        .collect();
+    let index = SampleIndex::build(sample, d);
+    group.bench_with_input(
+        BenchmarkId::new("sweep-pass-rulekey", "1threads"),
+        &1usize,
+        |b, _| b.iter(|| sweep_gains_blocks(&data, d, Some(&index), None, &rulekey)),
+    );
     group.finish();
 }
 

@@ -38,6 +38,10 @@ impl MultiRuleConfig {
     }
 }
 
+/// Relative gain difference within which [`select_rules`] treats two
+/// candidates as tied for the lead.
+pub const TIE_TOLERANCE: f64 = 1e-12;
+
 /// A scored candidate as produced by the gain stage.
 #[derive(Debug, Clone)]
 pub struct ScoredCandidate {
@@ -57,23 +61,41 @@ pub struct ScoredCandidate {
 /// top `top_fraction` of candidates by gain rank, and (c) at least
 /// `min_gain_fraction` of the best gain.
 ///
-/// `candidates` is sorted (descending by gain) in place; it may be a
-/// pre-truncated prefix of a larger candidate list, in which case
-/// `total_candidates` carries the true list size for the rank limit
-/// (pass `candidates.len()` when the list is complete). Returns the chosen
-/// candidates in selection order; empty if no candidate has positive gain.
+/// **Tie rule.** Among candidates whose gain lies within a relative
+/// [`TIE_TOLERANCE`] of the best gain, the canonically first rule
+/// (lexicographic on values, wildcards last) leads. Mathematically tied
+/// rules can come out of the float folds a few ulps apart depending on
+/// summation order, and that noise must not pick the rule. The leader is
+/// found as a max followed by a filter, never through a tolerance-aware
+/// sort comparator (which would not be transitive).
+///
+/// `candidates` is sorted (descending by gain, the tie leader first) in
+/// place; it may be a pre-truncated prefix of a larger candidate list, in
+/// which case `total_candidates` carries the true list size for the rank
+/// limit (pass `candidates.len()` when the list is complete). Returns the
+/// chosen candidates in selection order; empty if no candidate has
+/// positive gain.
 pub fn select_rules(
     candidates: &mut [ScoredCandidate],
     cfg: &MultiRuleConfig,
     total_candidates: usize,
 ) -> Vec<ScoredCandidate> {
     candidates.sort_by(|a, b| b.gain.total_cmp(&a.gain));
-    let Some(top) = candidates.first() else {
+    let Some(best) = candidates.first().map(|c| c.gain) else {
         return Vec::new();
     };
-    if top.gain <= 0.0 {
+    if best <= 0.0 {
         return Vec::new();
     }
+    // Sorted descending, so the near-ties form a prefix; move the
+    // canonically first of them to the front, keeping the others' order.
+    let floor = best - TIE_TOLERANCE * best;
+    let ties = candidates.partition_point(|c| c.gain >= floor);
+    let lead = (0..ties)
+        .min_by(|&a, &b| candidates[a].rule.cmp(&candidates[b].rule))
+        .unwrap_or(0);
+    candidates[..=lead].rotate_right(1);
+    let top = &candidates[0];
     let mut picked: Vec<ScoredCandidate> = vec![top.clone()];
     if cfg.rules_per_iter <= 1 {
         return picked;
@@ -132,6 +154,36 @@ mod tests {
         assert_eq!(picked.len(), 2);
         assert_eq!(picked[0].rule, cand(&[-1, 0, -1], 0.0).rule);
         assert_eq!(picked[1].rule, cand(&[-1, 2, -1], 0.0).rule);
+    }
+
+    #[test]
+    fn near_ties_go_to_the_canonically_first_rule() {
+        // Two mathematically tied gains a few ulps apart (summation-order
+        // noise): the canonically first rule leads whichever is larger and
+        // whatever order the candidates arrive in.
+        let tied = 3.0;
+        let noisy = tied * (1.0 + 4e-14);
+        for gains in [(tied, noisy), (noisy, tied)] {
+            for flip in [false, true] {
+                let mut cands = vec![
+                    cand(&[-1, 0, 2], gains.0),
+                    cand(&[-1, 2, 0], gains.1),
+                    cand(&[1, -1, -1], 2.0),
+                ];
+                if flip {
+                    cands.reverse();
+                }
+                let n = cands.len();
+                let picked = select_rules(&mut cands, &MultiRuleConfig::default(), n);
+                assert_eq!(picked[0].rule, cand(&[-1, 0, 2], 0.0).rule);
+                // The other near-tie keeps its place right behind.
+                assert_eq!(cands[1].rule, cand(&[-1, 2, 0], 0.0).rule);
+            }
+        }
+        // A gap wider than the tolerance is a real win, not a tie.
+        let mut cands = vec![cand(&[-1, 0, 2], 3.0), cand(&[-1, 2, 0], 3.0 + 1e-9)];
+        let picked = select_rules(&mut cands, &MultiRuleConfig::default(), 2);
+        assert_eq!(picked[0].rule, cand(&[-1, 2, 0], 0.0).rule);
     }
 
     #[test]

@@ -266,12 +266,19 @@ impl StreamingMiner {
                     merge_agg(lcas.entry(lca).or_insert((0.0, 0.0, 0)), (m, mh, 1));
                 }
             }
+            // Canonical rule order before expanding and adjusting, so no
+            // hash-map iteration order reaches the candidates' float sums
+            // or their order into `select_rules`.
+            let mut lcas: Vec<(Rule, Agg)> = lcas.into_iter().collect();
+            lcas.sort_unstable_by(|a, b| a.0.cmp(&b.0));
             let mut cands: FxHashMap<Rule, Agg> = FxHashMap::default();
             for (rule, agg) in &lcas {
                 for anc in ancestors(rule) {
                     merge_agg(cands.entry(anc).or_insert((0.0, 0.0, 0)), *agg);
                 }
             }
+            let mut cands: Vec<(Rule, Agg)> = cands.into_iter().collect();
+            cands.sort_unstable_by(|a, b| a.0.cmp(&b.0));
             let mut scored: Vec<ScoredCandidate> = adjust_for_sample(cands, &index)
                 .into_iter()
                 .filter(|(rule, _, _, _)| !self.rules.contains(rule))

@@ -33,13 +33,24 @@
 //! ancestor expansion is a couple of ORs per ancestor instead of slice
 //! rewrites. When the summed widths exceed 128 bits the sweep falls back
 //! to the original `Rule`-keyed maps; [`SweepOptions`] picks the path.
-//! Each combine partition also chooses **how** to aggregate via
-//! [`sirum_dataflow::cost::choose_combine`]: probe-or-insert into the
-//! hash map, or radix-scatter `(code, m, m̂)` triples into 256 hash
-//! lanes and fold each lane through its own cache-resident map (better
-//! once the distinct working set outgrows the cache). Both are
-//! bit-identical by construction — a code's emissions all land in one
-//! lane in emission order, so its float sums add in the same sequence.
+//!
+//! Stage 1 has one combine: probe-or-insert into the partition's
+//! `FxHashMap<code, (Σm, Σm̂, pairs)>`, plus a register accumulator for
+//! the all-wild LCA. Every sweep map relies on
+//! [`sirum_dataflow::hash::FxHasher`] carrying a code's *high* fields —
+//! its first dimensions — into the low bits hashbrown takes the bucket
+//! index from. Without that, codes that differ only in their first
+//! dimensions share one probe chain: on income_like(20k), |s| = 64, a
+//! probe then costs ~40 ns instead of ~4 ns. That clustering, not cache
+//! spills, is what a 256-lane radix-group combine once compensated for;
+//! with the hasher mixing properly it lost to plain probing on every
+//! workload shape measured (DESIGN.md, "Packed rule codes").
+//!
+//! Tie rule: candidates leave the sweep in canonical rule order, and
+//! [`crate::multirule::select_rules`] lets the canonically first of the
+//! rules within a relative [`crate::multirule::TIE_TOLERANCE`] of the best
+//! gain lead, so float-fold noise between mathematically tied rules
+//! never picks the rule.
 //!
 //! Determinism argument (see DESIGN.md "Partition-parallel gain sweep"
 //! and "Packed rule codes" for the full version):
@@ -60,8 +71,8 @@
 //! Hence the sweep's per-candidate sums — and everything derived from them
 //! (gains, the selected rule sequence) — are **bit-identical to the
 //! sequential reference** ([`sweep_gains_reference`]) for any worker
-//! count, and across the packed/`Rule`-keyed, hash/radix-group and
-//! row-major/columnar variants. Proptests in
+//! count, and across the packed/`Rule`-keyed and row-major/columnar
+//! variants. Proptests in
 //! `crates/core/tests/properties.rs` pin this across random tables,
 //! partition counts and thread counts.
 //!
@@ -80,8 +91,7 @@ use crate::candidates::{adjust_for_sample, SampleIndex};
 use crate::lattice::{packed_live_dims, MAX_EXPAND_BITS};
 use crate::miner::Tup;
 use crate::rule::{PackedCode, PackedMasks, Rule, RuleLayout, WILDCARD};
-use sirum_dataflow::cost::{choose_combine, CombineStrategy};
-use sirum_dataflow::hash::{fx_hash_one, FxHashMap};
+use sirum_dataflow::hash::FxHashMap;
 use sirum_dataflow::{Dataset, Engine};
 
 /// Per-candidate aggregate carried by the sweep: `(Σm, Σm̂, pair count)` —
@@ -100,7 +110,6 @@ pub const CANCEL_POLL_ROWS: usize = 4096;
 #[derive(Debug, Clone, Default)]
 pub struct SweepOptions {
     layout: Option<RuleLayout>,
-    combine: Option<CombineStrategy>,
 }
 
 impl SweepOptions {
@@ -116,17 +125,7 @@ impl SweepOptions {
     pub fn packed(layout: RuleLayout) -> SweepOptions {
         SweepOptions {
             layout: Some(layout),
-            combine: None,
         }
-    }
-
-    /// Force every combine partition onto one [`CombineStrategy`] instead
-    /// of the per-partition cost-model choice (benchmarks and the
-    /// bit-identity tests use this; the mining output is identical either
-    /// way).
-    pub fn with_combine(mut self, strategy: CombineStrategy) -> SweepOptions {
-        self.combine = Some(strategy);
-        self
     }
 
     /// The packed code width this sweep will run with (64 or 128), or
@@ -140,11 +139,6 @@ impl SweepOptions {
         } else {
             None
         }
-    }
-
-    /// The forced combine strategy, if any.
-    pub fn combine_override(&self) -> Option<CombineStrategy> {
-        self.combine
     }
 }
 
@@ -263,92 +257,9 @@ impl<K: Eq + std::hash::Hash> PartitionSweep<K> {
     }
 }
 
-/// How many scatter lanes the [`CombineStrategy::RadixGroup`] combine path
-/// uses (indexed by the top byte of the key's Fx hash).
-const RADIX_LANES: usize = 256;
-
-/// Radix-bucketed emission log for the [`CombineStrategy::RadixGroup`]
-/// combine path. Emissions scatter into [`RADIX_LANES`] lanes by the high
-/// byte of their key's Fx hash — a purely sequential append — and each
-/// lane then folds through one small reused map holding ~1/256 of the
-/// distinct keys, which stays cache-resident even when a single flat
-/// accumulator would spill every probe to DRAM.
-///
-/// Bit-identity with the probe-or-insert path: a key's emissions all hash
-/// to the same lane and the scatter is stable, so each key's float sums
-/// accumulate in the original emission order. Entries land in the output
-/// map lane by lane, an ordering the canonical frontier sort later erases
-/// anyway.
-struct RadixBuckets<K> {
-    lanes: Vec<Vec<(K, f64, f64)>>,
-}
-
-impl<K: Eq + std::hash::Hash + Copy> RadixBuckets<K> {
-    /// Lanes pre-sized for `records` total emissions split evenly.
-    fn with_capacity(records: usize) -> Self {
-        let per_lane = records / RADIX_LANES + 1;
-        RadixBuckets {
-            lanes: (0..RADIX_LANES)
-                .map(|_| Vec::with_capacity(per_lane))
-                .collect(),
-        }
-    }
-
-    /// Append one emission to its key's lane.
-    #[inline]
-    fn push(&mut self, key: K, m: f64, mh: f64) {
-        let lane = (fx_hash_one(&key) >> 56) as usize;
-        self.lanes[lane].push((key, m, mh));
-    }
-
-    /// Fold every lane into the accumulator map, one lane at a time.
-    fn group_into(self, acc: &mut PartitionSweep<K>) {
-        let mut lane_map: FxHashMap<K, Agg> = FxHashMap::default();
-        for lane in self.lanes {
-            lane_map.reserve(lane.len());
-            for (key, m, mh) in lane {
-                match lane_map.get_mut(&key) {
-                    Some(a) => {
-                        a.0 += m;
-                        a.1 += mh;
-                        a.2 += 1;
-                    }
-                    None => {
-                        lane_map.insert(key, (m, mh, 1));
-                    }
-                }
-            }
-            // Each key lives in exactly one lane, so these inserts never
-            // collide with an existing entry.
-            for (key, agg) in lane_map.drain() {
-                acc.map.insert(key, agg);
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Packed-code stages
 // ---------------------------------------------------------------------------
-
-/// Pick the combine strategy for one partition: the forced override, or
-/// the cost model fed with this partition's emission volume (`rows × |s|`
-/// pairs). The same count doubles as the distinct-code ceiling hint —
-/// every pair can in principle yield a fresh LCA, and real workloads land
-/// close enough to that bound (tens of thousands of distinct codes from a
-/// few thousand rows) that hinting `rows` alone kept the model in the
-/// cache-hit regime while the actual accumulator was spilling to DRAM.
-fn partition_strategy(
-    rows: usize,
-    index: Option<&SampleIndex>,
-    force: Option<CombineStrategy>,
-) -> CombineStrategy {
-    force.unwrap_or_else(|| {
-        let s = index.map_or(1, SampleIndex::len).max(1);
-        let records = rows as u64 * s as u64;
-        choose_combine(records, records)
-    })
-}
 
 /// Stage 1, one row-major partition, packed keys: combine every
 /// `(sample tuple, data tuple)` LCA (or the packed tuple itself when no
@@ -360,21 +271,13 @@ fn combine_rows_packed<C: PackedCode>(
     masks: &PackedMasks<C>,
     index: Option<&SampleIndex>,
     cancel: Option<&CancellationToken>,
-    force: Option<CombineStrategy>,
 ) -> PartitionSweep<C> {
     let mut acc = PartitionSweep::with_capacity(rows.len());
     if is_cancelled(cancel) {
         acc.cancelled = true;
         return acc;
     }
-    let strategy = partition_strategy(rows.len(), index, force);
     let mut scratch: Vec<C> = Vec::new();
-    let mut buckets = if strategy == CombineStrategy::RadixGroup {
-        let s = index.map_or(1, SampleIndex::len).max(1);
-        RadixBuckets::with_capacity(rows.len() * s)
-    } else {
-        RadixBuckets { lanes: Vec::new() }
-    };
     // All-wild fast path: a (sample, data) pair with no shared constants
     // yields the `(*, …, *)` LCA — usually the most frequent code by far.
     // Its contributions touch no other key, so a register accumulator adds
@@ -394,10 +297,7 @@ fn combine_rows_packed<C: PackedCode>(
                         wild.1 += *mh;
                         wild.2 += 1;
                     } else {
-                        match strategy {
-                            CombineStrategy::HashProbe => acc.fold_agg(code, (*m, *mh, 1)),
-                            CombineStrategy::RadixGroup => buckets.push(code, *m, *mh),
-                        }
+                        acc.fold_agg(code, (*m, *mh, 1));
                     }
                 }
             }
@@ -405,16 +305,9 @@ fn combine_rows_packed<C: PackedCode>(
                 if acc.tick(cancel) {
                     return acc;
                 }
-                let code: C = layout.pack(dims);
-                match strategy {
-                    CombineStrategy::HashProbe => acc.fold_agg(code, (*m, *mh, 1)),
-                    CombineStrategy::RadixGroup => buckets.push(code, *m, *mh),
-                }
+                acc.fold_agg(layout.pack(dims), (*m, *mh, 1));
             }
         }
-    }
-    if strategy == CombineStrategy::RadixGroup {
-        buckets.group_into(&mut acc);
     }
     if wild.2 > 0 {
         acc.fold_agg(aw, wild);
@@ -433,7 +326,6 @@ fn combine_blocks_packed<C: PackedCode>(
     masks: &PackedMasks<C>,
     index: Option<&SampleIndex>,
     cancel: Option<&CancellationToken>,
-    force: Option<CombineStrategy>,
 ) -> PartitionSweep<C> {
     let rows: usize = blocks.iter().map(TupleBlock::len).sum();
     let mut acc = PartitionSweep::with_capacity(rows);
@@ -441,15 +333,8 @@ fn combine_blocks_packed<C: PackedCode>(
         acc.cancelled = true;
         return acc;
     }
-    let strategy = partition_strategy(rows, index, force);
     let mut scratch: Vec<C> = Vec::new();
     let mut row_buf = Vec::with_capacity(d);
-    let mut buckets = if strategy == CombineStrategy::RadixGroup {
-        let s = index.map_or(1, SampleIndex::len).max(1);
-        RadixBuckets::with_capacity(rows * s)
-    } else {
-        RadixBuckets { lanes: Vec::new() }
-    };
     // Same all-wild register accumulator as [`combine_rows_packed`] — see
     // the bit-identity note there.
     let aw = masks.all_wild();
@@ -477,14 +362,7 @@ fn combine_blocks_packed<C: PackedCode>(
                                 wild.1 += mhat_col[i];
                                 wild.2 += 1;
                             } else {
-                                match strategy {
-                                    CombineStrategy::HashProbe => {
-                                        acc.fold_agg(code, (m_col[i], mhat_col[i], 1));
-                                    }
-                                    CombineStrategy::RadixGroup => {
-                                        buckets.push(code, m_col[i], mhat_col[i]);
-                                    }
-                                }
+                                acc.fold_agg(code, (m_col[i], mhat_col[i], 1));
                             }
                         }
                     }
@@ -494,22 +372,11 @@ fn combine_blocks_packed<C: PackedCode>(
                         }
                         row_buf.clear();
                         row_buf.extend(cols.iter().map(|c| c[li]));
-                        let code: C = layout.pack(&row_buf);
-                        match strategy {
-                            CombineStrategy::HashProbe => {
-                                acc.fold_agg(code, (m_col[i], mhat_col[i], 1));
-                            }
-                            CombineStrategy::RadixGroup => {
-                                buckets.push(code, m_col[i], mhat_col[i]);
-                            }
-                        }
+                        acc.fold_agg(layout.pack(&row_buf), (m_col[i], mhat_col[i], 1));
                     }
                 }
             }
         }
-    }
-    if strategy == CombineStrategy::RadixGroup {
-        buckets.group_into(&mut acc);
     }
     if wild.2 > 0 {
         acc.fold_agg(aw, wild);
@@ -975,10 +842,8 @@ pub fn sweep_gains(
     opts: &SweepOptions,
 ) -> SweepOutcome {
     match dispatch(opts) {
-        Dispatch::U64(layout) => sweep_rows_packed::<u64>(data, layout, index, cancel, opts, true),
-        Dispatch::U128(layout) => {
-            sweep_rows_packed::<u128>(data, layout, index, cancel, opts, true)
-        }
+        Dispatch::U64(layout) => sweep_rows_packed::<u64>(data, layout, index, cancel, true),
+        Dispatch::U128(layout) => sweep_rows_packed::<u128>(data, layout, index, cancel, true),
         Dispatch::RuleKeyed => sweep_rows_rulekey(data, d, index, cancel, true),
     }
 }
@@ -996,12 +861,8 @@ pub fn sweep_gains_blocks(
     opts: &SweepOptions,
 ) -> SweepOutcome {
     match dispatch(opts) {
-        Dispatch::U64(layout) => {
-            sweep_blocks_packed::<u64>(data, d, layout, index, cancel, opts, true)
-        }
-        Dispatch::U128(layout) => {
-            sweep_blocks_packed::<u128>(data, d, layout, index, cancel, opts, true)
-        }
+        Dispatch::U64(layout) => sweep_blocks_packed::<u64>(data, d, layout, index, cancel, true),
+        Dispatch::U128(layout) => sweep_blocks_packed::<u128>(data, d, layout, index, cancel, true),
         Dispatch::RuleKeyed => sweep_blocks_rulekey(data, d, index, cancel, true),
     }
 }
@@ -1018,10 +879,8 @@ pub fn sweep_gains_reference(
     opts: &SweepOptions,
 ) -> SweepOutcome {
     match dispatch(opts) {
-        Dispatch::U64(layout) => sweep_rows_packed::<u64>(data, layout, index, cancel, opts, false),
-        Dispatch::U128(layout) => {
-            sweep_rows_packed::<u128>(data, layout, index, cancel, opts, false)
-        }
+        Dispatch::U64(layout) => sweep_rows_packed::<u64>(data, layout, index, cancel, false),
+        Dispatch::U128(layout) => sweep_rows_packed::<u128>(data, layout, index, cancel, false),
         Dispatch::RuleKeyed => sweep_rows_rulekey(data, d, index, cancel, false),
     }
 }
@@ -1036,11 +895,9 @@ pub fn sweep_gains_blocks_reference(
     opts: &SweepOptions,
 ) -> SweepOutcome {
     match dispatch(opts) {
-        Dispatch::U64(layout) => {
-            sweep_blocks_packed::<u64>(data, d, layout, index, cancel, opts, false)
-        }
+        Dispatch::U64(layout) => sweep_blocks_packed::<u64>(data, d, layout, index, cancel, false),
         Dispatch::U128(layout) => {
-            sweep_blocks_packed::<u128>(data, d, layout, index, cancel, opts, false)
+            sweep_blocks_packed::<u128>(data, d, layout, index, cancel, false)
         }
         Dispatch::RuleKeyed => sweep_blocks_rulekey(data, d, index, cancel, false),
     }
@@ -1124,22 +981,20 @@ fn sweep_rows_packed<C: PackedCode>(
     layout: &RuleLayout,
     index: Option<&SampleIndex>,
     cancel: Option<&CancellationToken>,
-    opts: &SweepOptions,
     parallel: bool,
 ) -> SweepOutcome {
     let masks: PackedMasks<C> = layout.masks();
-    let force = opts.combine_override();
     let combined = if parallel {
         data.aggregate_partitions(
             "gain-sweep-combine",
             PartitionSweep::new,
-            |_, rows| combine_rows_packed(rows, layout, &masks, index, cancel, force),
+            |_, rows| combine_rows_packed(rows, layout, &masks, index, cancel),
             PartitionSweep::merge,
         )
     } else {
         let mut combine = (0..data.num_partitions()).map(|i| {
             let part = data.part(i);
-            combine_rows_packed(&part, layout, &masks, index, cancel, force)
+            combine_rows_packed(&part, layout, &masks, index, cancel)
         });
         let mut combined = combine.next().unwrap_or_else(PartitionSweep::new);
         for acc in combine {
@@ -1164,22 +1019,20 @@ fn sweep_blocks_packed<C: PackedCode>(
     layout: &RuleLayout,
     index: Option<&SampleIndex>,
     cancel: Option<&CancellationToken>,
-    opts: &SweepOptions,
     parallel: bool,
 ) -> SweepOutcome {
     let masks: PackedMasks<C> = layout.masks();
-    let force = opts.combine_override();
     let combined = if parallel {
         data.aggregate_partitions(
             "gain-sweep-combine",
             PartitionSweep::new,
-            |_, blocks| combine_blocks_packed(blocks, d, layout, &masks, index, cancel, force),
+            |_, blocks| combine_blocks_packed(blocks, d, layout, &masks, index, cancel),
             PartitionSweep::merge,
         )
     } else {
         let mut combine = (0..data.num_partitions()).map(|i| {
             let part = data.part(i);
-            combine_blocks_packed(&part, d, layout, &masks, index, cancel, force)
+            combine_blocks_packed(&part, d, layout, &masks, index, cancel)
         });
         let mut combined = combine.next().unwrap_or_else(PartitionSweep::new);
         for acc in combine {
@@ -1224,13 +1077,7 @@ mod tests {
     }
 
     fn all_variants(table: &sirum_table::Table) -> Vec<SweepOptions> {
-        let packed = packed_opts(table);
-        vec![
-            SweepOptions::rule_keyed(),
-            packed.clone(),
-            packed.clone().with_combine(CombineStrategy::HashProbe),
-            packed.with_combine(CombineStrategy::RadixGroup),
-        ]
+        vec![SweepOptions::rule_keyed(), packed_opts(table)]
     }
 
     #[test]
@@ -1433,11 +1280,7 @@ mod tests {
         let engine = Engine::new(EngineConfig::single_thread());
         let data = engine.parallelize(rows, 1);
         let layout = RuleLayout::from_cardinalities(&[7, 3]);
-        for opts in [
-            SweepOptions::rule_keyed(),
-            SweepOptions::packed(layout.clone()),
-            SweepOptions::packed(layout.clone()).with_combine(CombineStrategy::RadixGroup),
-        ] {
+        for opts in [SweepOptions::rule_keyed(), SweepOptions::packed(layout)] {
             let token = CancellationToken::new();
             // Self-cancel once the combine scan is mid-partition: after
             // the partition-boundary poll plus one work-budget poll.

@@ -17,7 +17,6 @@ use sirum_core::scaling::{
 use sirum_core::sweep::{sweep_gains, sweep_gains_reference, SweepOptions};
 use sirum_core::transform::MeasureTransform;
 use sirum_core::{PreparedTable, Variant};
-use sirum_dataflow::cost::CombineStrategy;
 use sirum_dataflow::hash::FxHashMap;
 use sirum_dataflow::{Engine, EngineConfig};
 use sirum_table::{Compression, Schema, Table};
@@ -70,17 +69,13 @@ fn sweep_tuples(table: &Table) -> Vec<Tup> {
 }
 
 /// Every way [`SweepOptions`] can key the sweep's hot-path accumulators
-/// for `table`: the `Rule`-keyed maps, packed codes with the
-/// cost-model-chosen combine, and packed codes with each combine strategy
-/// forced. All must produce bit-identical output.
+/// for `table`: the `Rule`-keyed maps and packed codes. Both must produce
+/// bit-identical output.
 fn sweep_variants(table: &Table) -> Vec<SweepOptions> {
     let cards: Vec<u32> = table.cardinalities().iter().map(|&c| c as u32).collect();
-    let packed = SweepOptions::packed(RuleLayout::from_cardinalities(&cards));
     vec![
         SweepOptions::rule_keyed(),
-        packed.clone(),
-        packed.clone().with_combine(CombineStrategy::HashProbe),
-        packed.with_combine(CombineStrategy::RadixGroup),
+        SweepOptions::packed(RuleLayout::from_cardinalities(&cards)),
     ]
 }
 
@@ -388,8 +383,7 @@ proptest! {
         // The tentpole determinism claim: per-candidate (Σm, Σm̂) from the
         // engine-parallel sweep equal the sequential reference BIT FOR BIT
         // for any table, partition count and worker count — and across
-        // every accumulator-key representation (Rule-keyed, packed u64
-        // hash-probe, packed radix-group).
+        // every accumulator-key representation (Rule-keyed, packed u64).
         let d = table.num_dims();
         let sample: Vec<Box<[u32]>> = picks
             .iter()

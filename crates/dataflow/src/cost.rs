@@ -190,80 +190,6 @@ pub fn scan_record_nanos(dims: usize, bytes_per_row: f64, compressed: bool) -> f
     }
 }
 
-/// How a sweep partition aggregates its per-tuple `(code, m, m̂)` emissions
-/// into one `(Σm, Σm̂, pairs)` entry per distinct rule code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CombineStrategy {
-    /// Probe-or-insert into an `FxHashMap<code, agg>` as codes are emitted.
-    /// Wins while the distinct-key working set stays cache-resident: each
-    /// emission is one integer hash plus one (usually L1/L2-hit) probe.
-    HashProbe,
-    /// Radix-scatter every emission into one of 256 hash-bucketed lanes
-    /// (a sequential append), then aggregate each lane through its own
-    /// small map. Each lane holds ~1/256 of the distinct keys, so lane
-    /// maps stay cache-resident even when one flat map would spill —
-    /// trading one extra sequential pass for DRAM-latency-free probes.
-    RadixGroup,
-}
-
-impl std::fmt::Display for CombineStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CombineStrategy::HashProbe => write!(f, "hash-probe"),
-            CombineStrategy::RadixGroup => write!(f, "radix-group"),
-        }
-    }
-}
-
-/// Approximate footprint of one hash-map entry for a packed sweep
-/// accumulator: a ≤16-byte code plus a 24-byte aggregate, rounded up for
-/// table overhead (control bytes, load factor ≈ 0.87).
-const COMBINE_ENTRY_BYTES: f64 = 56.0;
-/// Working-set size above which the hash accumulator is modeled as
-/// cache-spilled (≈ per-core L2 on the calibration container).
-const COMBINE_CACHE_BYTES: f64 = 1.0 * 1024.0 * 1024.0;
-/// Modeled cost of one probe while the accumulator fits in cache.
-const PROBE_HIT_NANOS: f64 = 4.0;
-/// Modeled cost of one probe once the accumulator has spilled out of cache
-/// (each probe is then a DRAM-latency round trip).
-const PROBE_MISS_NANOS: f64 = 40.0;
-/// Modeled per-record cost of the radix-group path: one sequential bucket
-/// append plus one probe of a cache-resident (1/256-sized) lane map, with
-/// the per-distinct lane merge amortized in.
-const RADIX_NANOS_PER_RECORD: f64 = 9.0;
-
-/// Pick the combine strategy for one sweep partition that will emit
-/// `records` rule codes with roughly `distinct_hint` distinct values.
-///
-/// The decision replays a two-point cost model: hashing costs one probe per
-/// emission, at a hit- or miss-dominated rate depending on whether
-/// `distinct_hint` entries fit the modeled cache; radix-grouping costs a
-/// flat per-record scatter-plus-lane-probe. Callers hint `distinct_hint`
-/// with whatever ceiling they have — the emission count itself (rows × |s|
-/// pairs) is the hard bound on how many distinct codes a partition can
-/// produce, and in practice far fewer survive.
-///
-/// Both strategies produce bit-identical aggregates (a key's emissions all
-/// land in one lane in emission order, so per-code float summation order is
-/// preserved), which is what makes this a pure performance decision.
-pub fn choose_combine(records: u64, distinct_hint: u64) -> CombineStrategy {
-    if records == 0 {
-        return CombineStrategy::HashProbe;
-    }
-    let probe = if distinct_hint as f64 * COMBINE_ENTRY_BYTES <= COMBINE_CACHE_BYTES {
-        PROBE_HIT_NANOS
-    } else {
-        PROBE_MISS_NANOS
-    };
-    let hash_cost = records as f64 * probe;
-    let radix_cost = records as f64 * RADIX_NANOS_PER_RECORD;
-    if radix_cost < hash_cost {
-        CombineStrategy::RadixGroup
-    } else {
-        CombineStrategy::HashProbe
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,28 +285,6 @@ mod tests {
         let seq = stage_makespan(&s, &spec(1, 1));
         assert!((par - 0.1).abs() < 1e-9, "par = {par}");
         assert!((seq - 0.8).abs() < 1e-9, "seq = {seq}");
-    }
-
-    #[test]
-    fn combine_choice_tracks_the_cache_model() {
-        // Empty partitions default to the probe path.
-        assert_eq!(choose_combine(0, 0), CombineStrategy::HashProbe);
-        // Small distinct sets stay cache-resident: hashing wins regardless
-        // of how many records stream through.
-        assert_eq!(choose_combine(1 << 20, 1 << 10), CombineStrategy::HashProbe);
-        assert_eq!(choose_combine(1 << 24, 1 << 14), CombineStrategy::HashProbe);
-        // A distinct working set far beyond the modeled cache makes every
-        // probe a miss; the bucketed radix path wins for realistic volumes.
-        assert_eq!(
-            choose_combine(1 << 20, 1 << 20),
-            CombineStrategy::RadixGroup
-        );
-        assert_eq!(
-            choose_combine(1 << 22, 1 << 22),
-            CombineStrategy::RadixGroup
-        );
-        // Tiny partitions never buffer even when fully distinct.
-        assert_eq!(choose_combine(64, 64), CombineStrategy::HashProbe);
     }
 
     #[test]

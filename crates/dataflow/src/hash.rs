@@ -11,6 +11,17 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 const ROTATE: u32 = 5;
+/// Final mix applied by [`FxHasher::finish`]. A multiply only carries bits
+/// upward, so the raw product's low bits depend only on the key's low
+/// bits. hashbrown takes the bucket index from the low bits and the
+/// control-byte tag from the top 7, so packed rule codes that differ only
+/// in their high fields (the first dimensions) would all share one probe
+/// chain. `finish` therefore rotates the product left by 26 (rustc-hash
+/// 2.0's fix), so the bucket index reads the best-mixed top 26 product
+/// bits. An invertible xor-shift first folds product bits 57..63 into the
+/// bits the rotation moves to the tag, which would otherwise read only
+/// product bits 31..37.
+const FINISH_ROTATE: u32 = 26;
 
 /// FxHash-style multiplicative hasher.
 #[derive(Default, Clone)]
@@ -28,7 +39,7 @@ impl FxHasher {
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        (self.hash ^ (self.hash >> FINISH_ROTATE)).rotate_left(FINISH_ROTATE)
     }
 
     #[inline]
@@ -145,5 +156,36 @@ mod tests {
         let max = *buckets.iter().max().unwrap();
         assert!(min > 50, "min bucket {min}");
         assert!(max < 500, "max bucket {max}");
+    }
+
+    /// Distinct values among `hashes` after `f` picks some of their bits.
+    fn distinct_by(hashes: &[u64], f: impl Fn(u64) -> u64) -> usize {
+        hashes.iter().map(|&h| f(h)).collect::<HashSet<u64>>().len()
+    }
+
+    #[test]
+    fn high_only_keys_reach_the_bucket_and_tag_bits() {
+        // Regression: `finish` used to return the raw product, whose low
+        // bits depend only on the key's low bits. Packed rule codes put
+        // the first dimensions in the high fields and wildcards in
+        // all-ones fields, so keys shaped like `(k << 36) | 0xFFF` — equal
+        // below bit 36 — all landed in one hashbrown bucket chain. They
+        // must spread over both the low bits hashbrown indexes by and the
+        // top 7 bits it stores as the control-byte tag.
+        let hashes: Vec<u64> = (0..4096u64)
+            .map(|k| fx_hash_one(&((k << 36) | 0xFFF)))
+            .collect();
+        let low12 = distinct_by(&hashes, |h| h & 0xFFF);
+        let top7 = distinct_by(&hashes, |h| h >> 57);
+        // 4096 keys into 4096 slots: a uniform hash fills ~63% of them.
+        assert!(low12 > 2048, "low 12 bits take only {low12} values");
+        assert_eq!(top7, 128, "top 7 bits take only {top7} values");
+        // The same holds for u128 codes whose varying fields sit in the
+        // upper word.
+        let wide: Vec<u64> = (0..4096u128)
+            .map(|k| fx_hash_one(&((k << 100) | 0xFFF)))
+            .collect();
+        let low12 = distinct_by(&wide, |h| h & 0xFFF);
+        assert!(low12 > 2048, "u128: low 12 bits take only {low12} values");
     }
 }

@@ -31,3 +31,15 @@ pub fn render(seen: HashSet<u64>) -> String {
 pub struct RwLock<T> {
     value: T,
 }
+
+pub fn adjust<I: IntoIterator<Item = (u64, u32)>>(items: I) -> Vec<u64> {
+    let mut out = Vec::new();
+    for (k, _) in items {
+        out.push(k);
+    }
+    out
+}
+
+pub fn by_value(cands: HashMap<u64, u32>) -> Vec<u64> {
+    adjust(cands) // line 44: moved into a callee that pushes in hash order
+}

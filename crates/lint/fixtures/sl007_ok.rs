@@ -30,3 +30,21 @@ pub fn merged(stats: HashMap<u64, u32>) -> BTreeMap<u64, u32> {
 pub fn ordered_source(ranks: BTreeMap<String, u64>) -> Vec<String> {
     ranks.keys().cloned().collect()
 }
+
+pub fn adjust<I: IntoIterator<Item = (u64, u32)>>(items: I) -> Vec<u64> {
+    let mut out = Vec::new();
+    for (k, _) in items {
+        out.push(k);
+    }
+    out
+}
+
+pub fn sorted_before_the_call(cands: HashMap<u64, u32>) -> Vec<u64> {
+    let mut sorted: Vec<(u64, u32)> = cands.into_iter().collect();
+    sorted.sort_unstable();
+    adjust(sorted)
+}
+
+pub fn stored_whole(cands: HashMap<u64, u32>) -> Option<Box<HashMap<u64, u32>>> {
+    Some(Box::new(cands))
+}

@@ -23,6 +23,14 @@
 //!   the body appends to order-sensitive sinks (`push`, `extend`,
 //!   `append`, `push_str`, `write!`/`writeln!`).
 //!
+//! * a hash-typed name moved whole into a fn call (`f(m)`,
+//!   `Type::f(m)`) is flagged: the callee consumes the container, and
+//!   its iteration order escapes into whatever the callee builds (the
+//!   streaming miner once handed its candidate map to
+//!   `adjust_for_sample`, and hash order decided a tie). Sort it into a
+//!   `Vec` first. Wrappers and constructors (`Some`, `Ok`, `new`, …) and
+//!   method calls (container `insert`/`push` of a whole map) are exempt.
+//!
 //! Known gap, on purpose: floating-point `+=` accumulation over hash
 //! iteration is order-sensitive but indistinguishable from integer
 //! counting at the token level; the mining-state accumulators were moved
@@ -115,6 +123,9 @@ const ORDER_FREE_DEST: &[&str] = &[
     "FxHashSet",
 ];
 
+/// Callees that store a moved container without iterating it.
+const MOVE_EXEMPT: &[&str] = &["new", "from", "drop"];
+
 /// Order-sensitive sinks inside a `for` body.
 const BODY_SINKS: &[&str] = &["push", "extend", "append", "push_str"];
 
@@ -169,6 +180,29 @@ impl Rule for NondeterministicIteration {
                 out,
             );
         }
+        // Hash containers moved whole into a free or `Type::` fn call.
+        for call in sym.fns.iter().filter(|f| !f.is_test).flat_map(|f| &f.calls) {
+            if call.method
+                || MOVE_EXEMPT.contains(&call.name.as_str())
+                || call.name.starts_with(|c: char| c.is_ascii_uppercase())
+            {
+                continue;
+            }
+            for arg in moved_hash_args(file, sym, call.sig_idx) {
+                let name = file.sig_text(arg);
+                finding_at(
+                    file,
+                    arg,
+                    self.code(),
+                    format!(
+                        "hash-ordered `{name}` moved into `{}`, which consumes it in \
+                         nondeterministic order; pass a sorted Vec or a BTreeMap",
+                        call.name
+                    ),
+                    out,
+                );
+            }
+        }
         // Bare `for … in &name` loops (no method call in the header).
         for l in &file.loops {
             if !file.sig_is_ident(l.keyword, "for") || file.in_test(file.sig_offset(l.keyword)) {
@@ -194,6 +228,33 @@ impl Rule for NondeterministicIteration {
             );
         }
     }
+}
+
+/// Arguments of the call whose callee name sits at `callee` that are a
+/// single hash-typed identifier, moved by value.
+fn moved_hash_args(file: &SourceFile, sym: &FileSymbols, callee: usize) -> Vec<usize> {
+    let Some(close) = file.matching.get(callee + 1).copied().flatten() else {
+        return Vec::new();
+    };
+    let mut out = Vec::new();
+    let mut start = callee + 2;
+    let mut j = start;
+    while j <= close {
+        let t = file.sig_text(j);
+        if j < close && matches!(t, "(" | "[" | "{") {
+            j = file.matching.get(j).copied().flatten().unwrap_or(j);
+        } else if j == close || t == "," {
+            if j == start + 1
+                && matches!(file.sig_kind(start), Some(TokenKind::Ident))
+                && sym.is_hash_name(file.sig_text(start))
+            {
+                out.push(start);
+            }
+            start = j + 1;
+        }
+        j += 1;
+    }
+    out
 }
 
 /// Walk a method chain backward from the iteration method at `i` to the

@@ -212,10 +212,10 @@ fn sl007_bad_exact_positions() {
     );
     assert_eq!(
         positions(&findings, "SL007"),
-        vec![(7, 25), (17, 28), (23, 16)],
+        vec![(7, 25), (17, 28), (23, 16), (44, 12)],
         "findings: {findings:#?}"
     );
-    assert_eq!(findings.len(), 3, "only SL007 expected: {findings:#?}");
+    assert_eq!(findings.len(), 4, "only SL007 expected: {findings:#?}");
 }
 
 #[test]

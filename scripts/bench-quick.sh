@@ -108,9 +108,6 @@ compare "prepared seed-fit 80k rows" \
 compare "sweep accumulator keying (1 worker)" \
     rule-key "gain_sweep/sweep-pass-rulekey/1threads" \
     packed "gain_sweep/sweep-pass/1threads"
-compare "sweep combine strategy (1 worker)" \
-    hash "gain_sweep/sweep-pass-hashprobe/1threads" \
-    radix "gain_sweep/sweep-pass/1threads"
 compare "serving cached-mine latency" \
     in-proc "serving/in-process/mine-cached" \
     wire "serving/wire/mine-cached"

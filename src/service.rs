@@ -50,9 +50,7 @@ use sirum_core::{
     RuleLayout, RuleSetEvaluation, SampleDataResult, ScalingConfig, SirumConfig, SirumError,
     StreamingConfig, StreamingMiner, SweepOptions, Variant,
 };
-use sirum_dataflow::cost::{
-    choose_combine, makespan, modeled_sweep_stage, ClusterSpec, CombineStrategy,
-};
+use sirum_dataflow::cost::{makespan, modeled_sweep_stage, ClusterSpec};
 use sirum_dataflow::{Engine, EngineConfig, EngineMode, StageRecord, TaskRecord};
 use sirum_table::{generators, Table, TableError};
 use std::collections::{BTreeMap, HashMap};
@@ -1881,10 +1879,6 @@ pub struct MiningPlan {
     /// the sweep falls back to `Rule`-keyed maps (packing disabled or the
     /// layout exceeds 128 bits) — or when the sweep itself is off.
     pub packed_bits: Option<u32>,
-    /// Predicted stage-1 combine strategy for one sweep partition
-    /// ([`sirum_dataflow::cost::choose_combine`] replayed on the planned
-    /// per-partition emission volume). `None` when the sweep is off.
-    pub combine: Option<CombineStrategy>,
     /// Predicted rule-generation iterations (`⌈k / l⌉`; a KL-target run may
     /// iterate further, up to its `max_rules` bound).
     pub estimated_iterations: usize,
@@ -1920,26 +1914,14 @@ impl MiningPlan {
         let iterations = config.k.div_ceil(config.multirule.rules_per_iter.max(1));
         let partitions = engine_config.partitions.max(1);
 
-        // Replay the sweep's own per-partition decisions: the packed-code
-        // width falls out of the registered dictionaries' bit-widths, and
-        // the combine strategy out of the cost model on the planned
-        // per-partition emission volume (rows/partition × |s| emissions,
-        // rows/partition as the distinct-key ceiling) — the same inputs
-        // `sirum_core::sweep` uses at run time.
-        let (packed_bits, combine) = if config.gain_sweep {
-            let bits = if config.packed_codes {
-                let layout = RuleLayout::from_cardinalities(entry.prepared.frame().cards());
-                SweepOptions::packed(layout).packed_bits()
-            } else {
-                None
-            };
-            // Same (records, distinct-ceiling) hint the sweep's
-            // per-partition strategy pick uses: the emission count itself
-            // bounds the distinct codes a partition can produce.
-            let records = n.div_ceil(partitions as u64) * sample;
-            (bits, Some(choose_combine(records, records)))
+        // Replay the sweep's accumulator choice: the packed-code width
+        // falls out of the registered dictionaries' bit-widths, the same
+        // input `sirum_core::sweep` uses at run time.
+        let packed_bits = if config.gain_sweep && config.packed_codes {
+            let layout = RuleLayout::from_cardinalities(entry.prepared.frame().cards());
+            SweepOptions::packed(layout).packed_bits()
         } else {
-            (None, None)
+            None
         };
 
         // Per-record scan cost: a base processing constant, the memory
@@ -2039,7 +2021,6 @@ impl MiningPlan {
             column_formats,
             scan_nanos_per_record: scan_record,
             packed_bits,
-            combine,
             estimated_iterations: iterations,
             estimated_stages: stages.len(),
             estimated_lca_pairs: lca_pairs,
@@ -2095,10 +2076,10 @@ impl std::fmt::Display for MiningPlan {
             self.column_formats.join(", "),
             self.scan_nanos_per_record,
         )?;
-        if let Some(combine) = self.combine {
+        if self.gain_sweep {
             writeln!(
                 f,
-                "  sweep accumulators: {}, {combine} combine",
+                "  sweep accumulators: {}",
                 match self.packed_bits {
                     Some(bits) => format!("packed u{bits} rule codes"),
                     None => "Rule-keyed maps (packing disabled or layout > 128 bits)".to_string(),
@@ -2589,10 +2570,8 @@ mod tests {
         );
         assert!(plan.estimated_stages > 0 && plan.estimated_secs >= 0.0);
         assert!(!plan.cached);
-        // Flights: 3 dims of tiny cardinality, well inside a u64 code; the
-        // small per-partition volume keeps stage 1 on the hash combine.
+        // Flights: 3 dims of tiny cardinality, well inside a u64 code.
         assert_eq!(plan.packed_bits, Some(64));
-        assert_eq!(plan.combine, Some(CombineStrategy::HashProbe));
         assert!(plan.to_string().contains("packed u64 rule codes"));
         // 14 rows is far below the Auto compression threshold: the plan
         // reports raw per-column formats and a traffic-only scan cost.
@@ -2601,7 +2580,7 @@ mod tests {
         assert!(plan.scan_nanos_per_record > 0.0);
         assert!(plan.to_string().contains("raw column format(s)"));
         // With packing off the plan reports the Rule-keyed fallback; with
-        // the sweep off there is no combine stage to report at all.
+        // the sweep off there are no sweep accumulators to report at all.
         let plan_rulekey = service
             .mine("flights")
             .k(3)
@@ -2610,7 +2589,7 @@ mod tests {
             .explain()
             .unwrap();
         assert_eq!(plan_rulekey.packed_bits, None);
-        assert!(plan_rulekey.combine.is_some());
+        assert!(plan_rulekey.to_string().contains("Rule-keyed maps"));
         let plan_staged = service
             .mine("flights")
             .k(3)
@@ -2619,7 +2598,6 @@ mod tests {
             .explain()
             .unwrap();
         assert_eq!(plan_staged.packed_bits, None);
-        assert_eq!(plan_staged.combine, None);
         assert!(!plan_staged.to_string().contains("sweep accumulators"));
         assert_eq!(service.stats().jobs_executed, 0, "explain ran nothing");
         // After executing, the same plan reports a cache hit ahead.
